@@ -85,33 +85,5 @@ fn interference_modes(c: &mut Criterion) {
     group.finish();
 }
 
-/// A5 companion: the scanning cursor of Algorithm 1 vs the event-driven
-/// heap cursor, on the same workload (identical output, different cursor
-/// bookkeeping).
-fn cursor_mechanism(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cursor");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(4));
-    let problem = benchmark_problem(Family::FixedLayerSize(16), 2048, 2020);
-    group.bench_function("scan", |b| {
-        b.iter(|| black_box(mia_core::analyze(black_box(&problem), &RoundRobin::new()).unwrap()))
-    });
-    group.bench_function("heap", |b| {
-        b.iter(|| {
-            black_box(
-                mia_core::analyze_event_driven(black_box(&problem), &RoundRobin::new()).unwrap(),
-            )
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    arbiter_ibus,
-    generator,
-    interference_modes,
-    cursor_mechanism
-);
+criterion_group!(benches, arbiter_ibus, generator, interference_modes);
 criterion_main!(benches);

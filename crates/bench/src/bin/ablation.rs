@@ -8,13 +8,10 @@
 //!   sets (§II.C's hypothesis, on the baseline where it matters),
 //! * `arbiters` — pessimism and runtime of the five arbitration models,
 //! * `banks` — per-core banks vs one shared bank ("distinct arbitrated
-//!   banks reserved for each core to minimize interference", §IV),
-//! * `cursor` — scanning cursor (paper's lines 24–28) vs an event-driven
-//!   heap cursor: identical schedules, so any runtime gap isolates the
-//!   cost of cursor management against the dominant `IBUS` work.
+//!   banks reserved for each core to minimize interference", §IV).
 //!
 //! ```text
-//! cargo run --release -p mia-bench --bin ablation            # all five
+//! cargo run --release -p mia-bench --bin ablation            # all four
 //! cargo run --release -p mia-bench --bin ablation -- banks   # just one
 //! ```
 
@@ -41,9 +38,6 @@ fn main() {
     }
     if run("banks") {
         banks();
-    }
-    if run("cursor") {
-        cursor();
     }
 }
 
@@ -155,23 +149,4 @@ fn banks() {
     }
     println!("\n(banks \"reserved for each core\" exist precisely to keep this");
     println!("inflation down — §IV of the paper)");
-}
-
-/// A5: scanning cursor vs event-driven heap cursor.
-fn cursor() {
-    println!("\n## A5 — cursor mechanism (incremental, LS16, RR arbiter)\n");
-    println!("| n | scan (s) | heap (s) | schedules equal |");
-    println!("|---|----------|----------|-----------------|");
-    for n in [256usize, 1024, 4096, 16384] {
-        let p = benchmark_problem(Family::FixedLayerSize(16), n, 2020);
-        let t0 = Instant::now();
-        let scan = mia_core::analyze(&p, &RoundRobin::new()).unwrap();
-        let t_scan = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let heap = mia_core::analyze_event_driven(&p, &RoundRobin::new()).unwrap();
-        let t_heap = t0.elapsed().as_secs_f64();
-        println!("| {n} | {t_scan:.4} | {t_heap:.4} | {} |", scan == heap);
-    }
-    println!("\n(the cursor is not the bottleneck — the O(c²·b) interference");
-    println!("work per step dominates, so both variants track each other)");
 }

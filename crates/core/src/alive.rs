@@ -1,6 +1,5 @@
 //! Shared bookkeeping for the alive set `A` of Algorithm 1, used by the
-//! scanning cursor of [`crate::analyze`], the event-driven cursor of
-//! [`crate::analyze_event_driven`] and the parallel layer engine of
+//! scanning cursor of [`crate::analyze`] and the parallel layer engine of
 //! [`crate::analyze_parallel`].
 //!
 //! # Slots, not tasks
@@ -108,11 +107,6 @@ impl AliveSlot {
     /// Releases the slot; its buffers are reused by the next open.
     pub(crate) fn close(&mut self) {
         self.busy = false;
-    }
-
-    /// The finish date of the occupying task given its WCET.
-    pub(crate) fn finish(&self, wcet: Cycles) -> Cycles {
-        self.release + wcet + self.total_inter
     }
 
     /// Freezes the busy slot's interference state for a checkpoint. Only
@@ -318,9 +312,7 @@ pub(crate) fn account_destination<A, O>(
 /// involving a newly opened task, destination by destination.
 ///
 /// `newly` must be ascending (the open loop produces it that way).
-/// `occupants` is refreshed in place from the slots. Destinations whose
-/// total interference changed are appended to `dirty` (cleared first) —
-/// the event-driven cursor uses them to refresh its heap.
+/// `occupants` is refreshed in place from the slots.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn account_newly<A, O>(
     problem: &Problem,
@@ -332,12 +324,10 @@ pub(crate) fn account_newly<A, O>(
     occupants: &mut Vec<Option<TaskId>>,
     observer: &mut O,
     stats: &mut AnalysisStats,
-    dirty: &mut Vec<usize>,
 ) where
     A: Arbiter + ?Sized,
     O: Observer + ?Sized,
 {
-    dirty.clear();
     if newly.is_empty() {
         return;
     }
@@ -350,7 +340,6 @@ pub(crate) fn account_newly<A, O>(
             continue;
         }
         let dest_is_new = newly.binary_search(&dest_idx).is_ok();
-        let before = dest.total_inter;
         account_destination(
             problem,
             arbiter,
@@ -364,8 +353,5 @@ pub(crate) fn account_newly<A, O>(
             observer,
             stats,
         );
-        if dest.total_inter != before {
-            dirty.push(dest_idx);
-        }
     }
 }

@@ -6,13 +6,11 @@
 //! [`run_cursor`] loop of the [`engine` module](crate::engine).
 
 use mia_model::arbiter::Arbiter;
-use mia_model::{Cycles, Problem, Schedule, TaskId, TaskTable};
+use mia_model::{Cycles, Problem, Schedule, TaskId};
 
 use crate::alive::{account_newly, AliveSlot};
 use crate::checkpoint::{Checkpoint, CheckpointLog, SlotSnapshot};
-use crate::engine::{
-    resume_cursor, run_cursor, run_cursor_recorded, scan_next_finish, Resume, SlotView, StepEngine,
-};
+use crate::engine::{resume_cursor, run_cursor, run_cursor_recorded, Resume, SlotView, StepEngine};
 use crate::{AnalysisError, AnalysisOptions, NoopObserver, Observer};
 
 /// Counters describing the work an analysis run performed; useful for
@@ -68,7 +66,7 @@ pub struct AnalysisReport {
     /// Work counters for this run.
     pub stats: AnalysisStats,
     /// How the parallel engine executed this run; `None` for the
-    /// sequential engines.
+    /// sequential engine.
     pub parallel: Option<ParallelInfo>,
 }
 
@@ -257,21 +255,15 @@ where
 /// The paper's scanning cursor as a [`StepEngine`]: owns the full
 /// [`AliveSlot`] bookkeeping and finds the next cursor position by
 /// scanning the alive set.
-///
-/// Also the building block of the event-driven engine, which wraps it
-/// and only replaces the scan with a heap (see `events.rs`).
 pub(crate) struct ScanEngine<'p, A: ?Sized> {
     problem: &'p Problem,
     arbiter: &'p A,
     mode: crate::InterferenceMode,
     access: Cycles,
     /// The alive set `A`: one reusable slot per core (see `alive.rs`).
-    pub(crate) slots: Vec<AliveSlot>,
-    // Reusable per-step buffers (no allocation inside the loop).
+    slots: Vec<AliveSlot>,
+    /// Reusable per-step buffer (no allocation inside the loop).
     occupants: Vec<Option<TaskId>>,
-    /// Cores whose finish date moved during the last interference phase
-    /// (the event-driven wrapper refreshes its heap from these).
-    pub(crate) dirty: Vec<usize>,
 }
 
 impl<'p, A> ScanEngine<'p, A>
@@ -287,13 +279,7 @@ where
             access: problem.platform().access_cycles(),
             slots: AliveSlot::for_problem(problem),
             occupants: Vec::with_capacity(cores),
-            dirty: Vec::with_capacity(cores),
         }
-    }
-
-    /// The problem under analysis (used by the event-driven wrapper).
-    pub(crate) fn problem(&self) -> &'p Problem {
-        self.problem
     }
 }
 
@@ -341,22 +327,15 @@ where
             &mut self.occupants,
             observer,
             stats,
-            &mut self.dirty,
         );
         Ok(())
     }
 
-    fn next_finish(&mut self, table: &TaskTable, t: Cycles) -> Cycles {
-        scan_next_finish(self, table, t)
-    }
-
-    fn snapshot_slots(&self) -> Option<Vec<Option<SlotSnapshot>>> {
-        Some(
-            self.slots
-                .iter()
-                .map(|s| s.busy.then(|| s.snapshot()))
-                .collect(),
-        )
+    fn snapshot_slots(&self) -> Vec<Option<SlotSnapshot>> {
+        self.slots
+            .iter()
+            .map(|s| s.busy.then(|| s.snapshot()))
+            .collect()
     }
 
     fn restore_slots(&mut self, slots: &[Option<SlotSnapshot>]) {

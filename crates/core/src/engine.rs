@@ -1,20 +1,19 @@
 //! The shared cursor driver behind every incremental analysis engine.
 //!
 //! Algorithm 1's control flow — close tasks finishing at the cursor, open
-//! eligible heads, account interference, advance the cursor — used to be
-//! triplicated across the scanning, event-driven and layer-parallel
-//! drivers, so any cursor-semantics fix had to land three times (and a
-//! missed one would silently diverge). [`run_cursor`] is now the **only**
-//! copy of that loop; the three engines implement [`StepEngine`] and
-//! differ solely in
+//! eligible heads, account interference, advance the cursor — exists
+//! **once**, in [`run_cursor`], so a cursor-semantics fix cannot land in
+//! one engine and silently miss another. The scanning and layer-parallel
+//! engines implement [`StepEngine`] and differ solely in
 //!
-//! * their **alive-slot view** — the scanning and event-driven engines
-//!   own the full [`AliveSlot`](crate::alive) bookkeeping, the parallel
-//!   engine shares one slot table between the driver and its persistent
-//!   worker pool under a phase-ownership protocol — and
-//! * their **interference phase** ([`StepEngine::account`]) plus how the
-//!   next cursor position is found ([`StepEngine::next_finish`]: a slot
-//!   scan or a lazily invalidated heap).
+//! * their **alive-slot view** — the scanning engine owns the full
+//!   [`AliveSlot`](crate::alive) bookkeeping, the parallel engine shares
+//!   one slot table between the driver and its persistent worker pool
+//!   under a phase-ownership protocol — and
+//! * their **interference phase** ([`StepEngine::account`]).
+//!
+//! The next cursor position is always found by [`scan_next_finish`]
+//! (Algorithm 1, lines 24–28).
 //!
 //! The driver compacts the graph into a [`TaskTable`] (dense WCET and
 //! release columns, CSR successor lists) once per run, so the per-step
@@ -113,9 +112,7 @@ impl SlotView {
 ///   [`StepEngine::account`];
 /// * [`StepEngine::account`] performs the per-destination accounting in
 ///   the canonical sequential order (see `alive.rs`) and reports per-bank
-///   updates to the observer in that order;
-/// * [`StepEngine::next_finish`] returns the earliest finish date among
-///   busy slots that is strictly after `t` ([`Cycles::MAX`] when idle).
+///   updates to the observer in that order.
 pub(crate) trait StepEngine {
     /// Number of per-core slots (the platform's core count).
     fn cores(&self) -> usize;
@@ -151,20 +148,11 @@ pub(crate) trait StepEngine {
     where
         O: Observer + ?Sized;
 
-    /// The earliest finish date of a busy slot strictly after `t`, or
-    /// [`Cycles::MAX`] when every core is idle. `&mut` so heap-backed
-    /// implementations can drop stale entries while searching; `table` is
-    /// the driver's per-run [`TaskTable`] (for WCET lookups).
-    fn next_finish(&mut self, table: &TaskTable, t: Cycles) -> Cycles;
-
     /// Freezes the interference state of every busy slot for a
-    /// [`Checkpoint`], or `None` when this engine cannot snapshot its
-    /// slots cheaply. Every shipped engine can: the parallel engine's
+    /// [`Checkpoint`] (`None` for an idle core). The parallel engine's
     /// slot table is driver-owned between phases, so it snapshots (and
-    /// records checkpoints) exactly like the sequential engines.
-    fn snapshot_slots(&self) -> Option<Vec<Option<SlotSnapshot>>> {
-        None
-    }
+    /// records checkpoints) exactly like the sequential engine.
+    fn snapshot_slots(&self) -> Vec<Option<SlotSnapshot>>;
 
     /// Re-occupies the slots from a checkpoint taken on any engine, as if
     /// the recorded prefix had just been executed. Called once, before the
@@ -172,9 +160,8 @@ pub(crate) trait StepEngine {
     fn restore_slots(&mut self, slots: &[Option<SlotSnapshot>]);
 }
 
-/// Scans every busy slot for the earliest finish date strictly after `t`
-/// — the default [`StepEngine::next_finish`] strategy (Algorithm 1,
-/// lines 24–28), shared by the scanning and layer-parallel engines.
+/// Scans every busy slot for the earliest finish date strictly after `t`,
+/// or [`Cycles::MAX`] when every core is idle (Algorithm 1, lines 24–28).
 ///
 /// After the close/open fixed point no busy slot can still finish at or
 /// before the cursor, so the `fin > t` filter is structural rather than
@@ -182,7 +169,7 @@ pub(crate) trait StepEngine {
 /// construction (and keeps the `t_next > t` cursor-advance invariant
 /// enforced in release builds, where the `debug_assert!` is compiled
 /// out), instead of relying on every engine's fixed point being exact.
-pub(crate) fn scan_next_finish<E>(engine: &E, table: &TaskTable, t: Cycles) -> Cycles
+fn scan_next_finish<E>(engine: &E, table: &TaskTable, t: Cycles) -> Cycles
 where
     E: StepEngine + ?Sized,
 {
@@ -238,8 +225,7 @@ where
     drive(problem, options, engine, observer, None, None)
 }
 
-/// [`run_cursor`] that additionally records [`Checkpoint`]s into `log`
-/// (no-op on engines that cannot snapshot their slots).
+/// [`run_cursor`] that additionally records [`Checkpoint`]s into `log`.
 pub(crate) fn run_cursor_recorded<E, O>(
     problem: &Problem,
     options: &AnalysisOptions,
@@ -394,16 +380,14 @@ where
         if let Some(log) = recorder.as_deref_mut() {
             if log.wants(stats.cursor_steps) {
                 let started = DriveProfile::begin(prof.as_ref());
-                if let Some(slots) = engine.snapshot_slots() {
-                    log.record(Checkpoint {
-                        step: stats.cursor_steps,
-                        t,
-                        next_idx: next_idx.clone(),
-                        mr_ptr,
-                        stats,
-                        slots,
-                    });
-                }
+                log.record(Checkpoint {
+                    step: stats.cursor_steps,
+                    t,
+                    next_idx: next_idx.clone(),
+                    mr_ptr,
+                    stats,
+                    slots: engine.snapshot_slots(),
+                });
                 if let Some(p) = prof.as_ref() {
                     p.end("analysis.checkpoint_write", &p.checkpoint_write, started);
                 }
@@ -518,7 +502,7 @@ where
         // t ← min(next alive finish, next future minimal release)
         // (lines 24–29).
         let advance_started = DriveProfile::begin(prof.as_ref());
-        let mut t_next = engine.next_finish(&table, t);
+        let mut t_next = scan_next_finish(engine, &table, t);
         while let Some(&(mr, task)) = min_rels.get(mr_ptr) {
             if is_open[task.index()] || mr <= t {
                 mr_ptr += 1;

@@ -38,7 +38,7 @@
 //! # Engines
 //!
 //! The close/open/advance cursor loop exists **once**, in the internal
-//! `engine` module's `run_cursor` driver; the three analysis entry
+//! `engine` module's `run_cursor` driver; the two analysis entry
 //! points are thin *step engines* plugged into it (an alive-slot view
 //! plus an interference phase — see `ARCHITECTURE.md` "The step
 //! engine"). All engines share the same slot machinery (dense,
@@ -48,8 +48,6 @@
 //!
 //! * [`analyze`] / [`analyze_with`] — the scanning cursor of the paper
 //!   (lines 24–28), the default;
-//! * [`analyze_event_driven`] — a lazily invalidated heap cursor, kept as
-//!   the cursor-cost ablation;
 //! * [`analyze_parallel`] — the layer-parallel engine: at every instant
 //!   the alive set is an anti-chain ("layer") of the DAG whose members
 //!   are updated concurrently by a persistent worker pool partitioned by
@@ -99,7 +97,6 @@ mod cancel;
 mod checkpoint;
 mod engine;
 mod error;
-mod events;
 mod observer;
 mod options;
 mod parallel;
@@ -112,9 +109,6 @@ pub use analysis::{
 pub use cancel::CancelToken;
 pub use checkpoint::{Checkpoint, CheckpointLog};
 pub use error::AnalysisError;
-pub use events::{
-    analyze_event_driven, analyze_event_driven_with, resume_analyze_event_driven_with,
-};
 pub use observer::{NoopObserver, Observer};
 pub use options::{AnalysisOptions, InterferenceMode};
 pub use parallel::{analyze_parallel, analyze_parallel_with, resume_analyze_parallel_with};

@@ -62,7 +62,7 @@ pub struct AnalysisOptions {
     /// `w` and always spawns the pool (tests use `Some(1)` to force every
     /// phase through the fan-out path regardless of host). Either way the
     /// results are bit-identical; only wall-clock time changes. Ignored by
-    /// the sequential engines.
+    /// the sequential engine.
     pub parallel_engage: Option<usize>,
 }
 

@@ -66,7 +66,7 @@
 //! interference events of fanned-out phases are recorded into per-worker
 //! buffers and relayed in the canonical sequential order (grouped by
 //! destination core, ascending) once the phase completes — so even the
-//! observer event stream is bit-identical to the sequential engines'. The
+//! observer event stream is bit-identical to the sequential engine's. The
 //! relay only runs when [`Observer::wants_interference`] says so; the
 //! default [`NoopObserver`] keeps the hot path relay-free.
 //!
@@ -99,11 +99,11 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use mia_model::arbiter::Arbiter;
-use mia_model::{BankId, Cycles, Problem, Schedule, TaskId, TaskTable};
+use mia_model::{BankId, Cycles, Problem, Schedule, TaskId};
 
 use crate::alive::{account_destination, AliveSlot};
 use crate::checkpoint::{Checkpoint, CheckpointLog, SlotSnapshot};
-use crate::engine::{resume_cursor, run_cursor, scan_next_finish, Resume, SlotView, StepEngine};
+use crate::engine::{resume_cursor, run_cursor, Resume, SlotView, StepEngine};
 use crate::{
     AnalysisError, AnalysisOptions, AnalysisReport, AnalysisStats, InterferenceMode, NoopObserver,
     Observer, ParallelInfo,
@@ -890,21 +890,15 @@ where
         Ok(())
     }
 
-    fn next_finish(&mut self, table: &TaskTable, t: Cycles) -> Cycles {
-        scan_next_finish(self, table, t)
-    }
-
-    fn snapshot_slots(&self) -> Option<Vec<Option<SlotSnapshot>>> {
-        Some(
-            self.slots
-                .iter()
-                .map(|cell| {
-                    // SAFETY: driver-exclusive between phases.
-                    let s = unsafe { &*cell.0.get() };
-                    s.busy.then(|| s.snapshot())
-                })
-                .collect(),
-        )
+    fn snapshot_slots(&self) -> Vec<Option<SlotSnapshot>> {
+        self.slots
+            .iter()
+            .map(|cell| {
+                // SAFETY: driver-exclusive between phases.
+                let s = unsafe { &*cell.0.get() };
+                s.busy.then(|| s.snapshot())
+            })
+            .collect()
     }
 
     fn restore_slots(&mut self, slots: &[Option<SlotSnapshot>]) {

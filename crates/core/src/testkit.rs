@@ -46,8 +46,7 @@ use mia_model::arbiter::Arbiter;
 use mia_model::{BankId, CoreId, Cycles, Problem, Schedule, TaskId};
 
 use crate::{
-    analyze_event_driven_with, analyze_parallel_with, analyze_with,
-    resume_analyze_event_driven_with, resume_analyze_parallel_with, resume_analyze_with,
+    analyze_parallel_with, analyze_with, resume_analyze_parallel_with, resume_analyze_with,
     AnalysisError, AnalysisOptions, AnalysisStats, Checkpoint, CheckpointLog, Observer,
 };
 
@@ -111,8 +110,6 @@ pub struct EngineRun {
 pub enum EngineKind {
     /// The paper's scanning cursor ([`crate::analyze_with`]).
     Sequential,
-    /// The heap cursor ([`crate::analyze_event_driven_with`]).
-    EventDriven,
     /// The layer-parallel engine with this worker count
     /// ([`crate::analyze_parallel_with`]).
     Parallel {
@@ -135,7 +132,6 @@ impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineKind::Sequential => write!(f, "sequential"),
-            EngineKind::EventDriven => write!(f, "event-driven"),
             EngineKind::Parallel { threads } => write!(f, "parallel({threads})"),
             EngineKind::ParallelPinned {
                 threads,
@@ -146,12 +142,12 @@ impl fmt::Display for EngineKind {
 }
 
 impl EngineKind {
-    /// Every engine: sequential, event-driven, and per requested thread
+    /// Every engine: sequential, and per requested thread
     /// count one auto-gated parallel entry plus one with the engagement
     /// threshold pinned to 1 (every phase fanned out — the pool runs even
     /// where the auto gate would fall through to the sequential path).
     pub fn all(thread_counts: &[usize]) -> Vec<EngineKind> {
-        let mut kinds = vec![EngineKind::Sequential, EngineKind::EventDriven];
+        let mut kinds = vec![EngineKind::Sequential];
         for &threads in thread_counts {
             kinds.push(EngineKind::Parallel { threads });
             kinds.push(EngineKind::ParallelPinned {
@@ -181,9 +177,6 @@ impl EngineKind {
         let mut log = EventLog::default();
         let report = match self {
             EngineKind::Sequential => analyze_with(problem, arbiter, options, &mut log)?,
-            EngineKind::EventDriven => {
-                analyze_event_driven_with(problem, arbiter, options, &mut log)?
-            }
             EngineKind::Parallel { threads } => {
                 analyze_parallel_with(problem, arbiter, options, threads, &mut log)?
             }
@@ -252,9 +245,6 @@ impl EngineKind {
             EngineKind::Sequential => {
                 resume_analyze_with(problem, arbiter, options, &mut log, checkpoint, prior, None)?
             }
-            EngineKind::EventDriven => resume_analyze_event_driven_with(
-                problem, arbiter, options, &mut log, checkpoint, prior, None,
-            )?,
             EngineKind::Parallel { threads } => resume_analyze_parallel_with(
                 problem, arbiter, options, threads, &mut log, checkpoint, prior, None,
             )?,
@@ -283,13 +273,12 @@ mod tests {
     #[test]
     fn engine_kinds_enumerate_and_render() {
         let kinds = EngineKind::all(&[2, 16]);
-        assert_eq!(kinds.len(), 6);
+        assert_eq!(kinds.len(), 5);
         assert_eq!(kinds[0].to_string(), "sequential");
-        assert_eq!(kinds[1].to_string(), "event-driven");
-        assert_eq!(kinds[2].to_string(), "parallel(2)");
-        assert_eq!(kinds[3].to_string(), "parallel(2,engage=1)");
-        assert_eq!(kinds[4].to_string(), "parallel(16)");
-        assert_eq!(kinds[5].to_string(), "parallel(16,engage=1)");
+        assert_eq!(kinds[1].to_string(), "parallel(2)");
+        assert_eq!(kinds[2].to_string(), "parallel(2,engage=1)");
+        assert_eq!(kinds[3].to_string(), "parallel(16)");
+        assert_eq!(kinds[4].to_string(), "parallel(16,engage=1)");
     }
 
     #[test]

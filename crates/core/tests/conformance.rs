@@ -5,16 +5,16 @@
 //! many-core systems. Every cursor implementation must therefore agree
 //! **bit for bit** — a single divergence in the request-service event
 //! order silently changes interference bounds. This suite replaces the
-//! old pairwise checks (`equivalence.rs`, `parallel_equivalence.rs`,
-//! which remain as focused regressions) with one differential oracle:
+//! old pairwise checks (`parallel_equivalence.rs` remains as a focused
+//! regression) with one differential oracle:
 //!
 //! * one scenario generator (random layered DAGs via `mia-gen`, plus
 //!   structured and degenerate topologies) drives **every** engine —
-//!   sequential scan, event-driven heap, layer-parallel at several pool
-//!   sizes — through the same systems, and
+//!   sequential scan, layer-parallel at several pool sizes, auto-gated
+//!   and pinned — through the same systems, and
 //! * asserts identical schedules, identical work counters and identical
 //!   observer event streams across all of them, with `mia-baseline`'s
-//!   independent double fixed point as a fourth oracle (bit-identical
+//!   independent double fixed point as a further oracle (bit-identical
 //!   schedules in the exact aggregation mode, the one it implements).
 //!
 //! Coverage is exhaustive by construction, not by sampling: the
@@ -105,7 +105,7 @@ fn assert_conformance(
 /// interference mode × every pinned pool size, on two workload shapes
 /// each (a deep fixed-layer-size DAG and a wide fixed-layer-count DAG)
 /// — 84 scenarios, comfortably over the 64 the roadmap requires, each
-/// compared across four engines.
+/// compared across three engines.
 #[test]
 fn every_arbiter_mode_and_pool_size_conforms() {
     let mut scenarios = 0usize;

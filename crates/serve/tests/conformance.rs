@@ -7,6 +7,7 @@
 //! `rosace` preset, and a generated NL16 workload file.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mia_arbiter::RoundRobin;
@@ -23,16 +24,20 @@ fn owned(args: &[&str]) -> Vec<String> {
     args.iter().map(|a| (*a).to_owned()).collect()
 }
 
-/// A generated NL16 workload file, removed on drop.
+/// A generated NL16 workload file, removed on drop. Every instance gets
+/// its own path (pid plus a process-wide sequence number), so tests
+/// running in parallel never delete each other's file.
 struct Nl16File {
     path: PathBuf,
 }
 
 impl Nl16File {
     fn generate() -> Nl16File {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let path = std::env::temp_dir().join(format!(
-            "mia_serve_conformance_nl16_{}.json",
-            std::process::id()
+            "mia_serve_conformance_nl16_{}_{}.json",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let path_str = path.to_str().expect("utf8 temp path").to_owned();
         mia_cli::run(&owned(&[

@@ -4,35 +4,30 @@
 //!
 //! A longitudinal flight controller (ROSACE-like) is modelled as one
 //! hyper-period of a two-rate harmonic task set turned into a DAG. The
-//! per-task WCETs are derived with the `mia-wcet` structural analyser
-//! (the OTAWA substitute), and the schedule is analysed under several bus
-//! arbiters to compare their pessimism.
+//! per-task WCETs in isolation are structural estimates of control-filter
+//! kernels (what a WCET analyser such as OTAWA provides), and the
+//! schedule is analysed under several bus arbiters to compare their
+//! pessimism.
 //!
 //! Run with: `cargo run --example avionics_case_study`
 
 use mia::prelude::*;
 use mia::trace;
-use mia::wcet::{estimate, Program};
 
-/// Builds a control-filter kernel: an initialisation block followed by a
-/// bounded loop over `taps` filter taps with a conditional saturation.
-fn filter_kernel(taps: u64, saturating: bool) -> Program {
-    let body = if saturating {
-        Program::if_else(
-            Program::block(2, 0),
-            Program::block(9, 2),
-            Program::block(6, 1),
-        )
-    } else {
-        Program::block(8, 2)
-    };
-    Program::seq([Program::block(20, 4), Program::loop_of(taps, body)])
+/// WCET in isolation and shared-memory accesses of a control-filter
+/// kernel: a 20-cycle initialisation block issuing 4 accesses, then a
+/// bounded loop over `taps` filter taps. A plain tap costs 8 cycles and 2
+/// accesses; a saturating tap's worst path (2-cycle test, 9-cycle
+/// saturation) costs 11 cycles and 2 accesses.
+fn filter_kernel(taps: u64, saturating: bool) -> (u64, u64) {
+    let tap_cycles = if saturating { 2 + 9 } else { 8 };
+    (20 + taps * tap_cycles, 4 + taps * 2)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One 10 ms hyper-period: the 200 Hz inner loop runs twice (phases A
     // and B), the 100 Hz outer loop once.
-    let kernels: Vec<(&str, Program, u64)> = vec![
+    let kernels: Vec<(&str, (u64, u64), u64)> = vec![
         // (name, body, minimal release within the hyper-period)
         ("gyro_acq_a", filter_kernel(16, false), 0),
         ("elevator_a", filter_kernel(24, true), 0),
@@ -49,17 +44,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut g = TaskGraph::new();
     let ids: Vec<TaskId> = kernels
         .iter()
-        .map(|(name, program, rel)| {
-            let e = estimate(program);
-            let mut task = e.into_task(*name);
-            task.set_min_release(Cycles(*rel));
-            println!(
-                "{:<14} wcet = {:>4}  accesses = {:>3}",
-                name,
-                e.wcet.as_u64(),
-                e.accesses
-            );
-            g.add_task(task)
+        .map(|&(name, (wcet, accesses), rel)| {
+            println!("{name:<14} wcet = {wcet:>4}  accesses = {accesses:>3}");
+            g.add_task(
+                Task::builder(name)
+                    .wcet(Cycles(wcet))
+                    .min_release(Cycles(rel))
+                    .private_demand(BankDemand::single(BankId(0), accesses)),
+            )
         })
         .collect();
 

@@ -60,10 +60,7 @@
 //! | [`dag_gen`] | Tobita–Kasahara random DAGs and benchmark families |
 //! | [`sim`] | cycle-stepped validation simulator |
 //! | [`sdf`] | synchronous-dataflow front-end (graph → task DAG) |
-//! | [`wcet`] | WCET-in-isolation estimation on CFGs (OTAWA substitute) |
 //! | [`mapping_heuristics`] | mapping & ordering strategies |
-//! | [`mrta`] | sporadic-task multicore response-time analysis (ref. \[1\]) |
-//! | [`noc`] | inter-cluster 2D-torus NoC latency bounds (MPPA-256 chip level) |
 //! | [`exec`] | time-triggered dispatch tables + C emission (deployment stage) |
 //! | [`dse`] | design-space exploration with the analysis in the loop |
 //! | [`trace`] | Gantt charts, DOT export, JSON reports |
@@ -76,12 +73,9 @@ pub use mia_dse as dse;
 pub use mia_exec as exec;
 pub use mia_mapping as mapping_heuristics;
 pub use mia_model as model;
-pub use mia_mrta as mrta;
-pub use mia_noc as noc;
 pub use mia_sdf as sdf;
 pub use mia_sim as sim;
 pub use mia_trace as trace;
-pub use mia_wcet as wcet;
 
 /// Convenient glob-import of the most used types.
 ///
@@ -94,7 +88,7 @@ pub mod prelude {
         Fifo, FixedPriority, MppaTree, Regulated, RoundRobin, Tdm, WeightedRoundRobin,
     };
     pub use mia_baseline::analyze as analyze_baseline;
-    pub use mia_core::{analyze, analyze_event_driven, analyze_parallel, AnalysisOptions};
+    pub use mia_core::{analyze, analyze_parallel, AnalysisOptions};
     pub use mia_model::{
         Arbiter, BankDemand, BankId, BankPolicy, CoreId, Cycles, Mapping, ModelError, Platform,
         Problem, Schedule, ScheduleViolation, Task, TaskGraph, TaskId, TaskTiming,

@@ -1,10 +1,9 @@
-//! Full-framework integration: dataflow program → WCET estimation →
+//! Full-framework integration: dataflow program → per-task WCETs →
 //! mapping → interference analysis → simulation (the pipeline of the
 //! paper's §I).
 
 use mia::prelude::*;
 use mia::sim::{simulate, AccessPattern, SimConfig};
-use mia::wcet::{estimate, Program};
 use mia::{mapping_heuristics, sdf};
 
 const APP: &str = "
@@ -31,29 +30,23 @@ fn sdf_to_schedule_to_simulation() {
     }
 }
 
+/// A task whose WCET in isolation and shared-memory access count come
+/// from an external WCET analyser; the accesses all target bank 0.
+fn kernel(name: &str, wcet: Cycles, accesses: u64) -> Task {
+    Task::builder(name)
+        .wcet(wcet)
+        .private_demand(BankDemand::single(BankId(0), accesses))
+        .build()
+}
+
 #[test]
 fn wcet_estimates_feed_the_analysis() {
-    // Two synthetic kernels estimated structurally, then scheduled.
-    let dsp = Program::seq([
-        Program::block(30, 6),
-        Program::loop_of(32, Program::block(7, 1)),
-    ]);
-    let ctrl = Program::loop_of(
-        16,
-        Program::if_else(
-            Program::block(3, 0),
-            Program::block(11, 2),
-            Program::block(5, 1),
-        ),
-    );
-    let e_dsp = estimate(&dsp);
-    let e_ctrl = estimate(&ctrl);
-    assert_eq!(e_dsp.wcet, Cycles(30 + 32 * 7));
-    assert_eq!(e_ctrl.wcet, Cycles(16 * 14));
-
+    // Two synthetic kernels with structural WCET estimates: a 30-cycle
+    // prologue plus 32 iterations of a 7-cycle body, and 16 iterations of
+    // a branch whose worst path costs 3 + 11 cycles.
     let mut g = TaskGraph::new();
-    let a = g.add_task(e_dsp.into_task("dsp"));
-    let b = g.add_task(e_ctrl.into_task("ctrl"));
+    let a = g.add_task(kernel("dsp", Cycles(30 + 32 * 7), 6 + 32));
+    let b = g.add_task(kernel("ctrl", Cycles(16 * 14), 16 * 2));
     g.add_edge(a, b, 8).unwrap();
     let m = mapping_heuristics::load_balanced(&g, 2).unwrap();
     let p = Problem::new(g, m, Platform::new(2, 2)).unwrap();
@@ -98,4 +91,51 @@ fn deadline_separates_schedulable_from_unschedulable() {
     ));
     let exact = AnalysisOptions::new().deadline(s.makespan());
     assert!(analyze_with(&p, &RoundRobin::new(), &exact, &mut NoopObserver).is_ok());
+}
+
+/// HEFT and annealing both feed valid problems whose analysed schedules
+/// hold up in simulation; annealing never worsens its own cost proxy.
+#[test]
+fn mapping_heuristics_feed_the_analysis() {
+    use mia::dag_gen::{Family, LayeredDag};
+    use mia::mapping_heuristics::{anneal, assignment_makespan, heft, AnnealConfig};
+    let mut cfg = Family::FixedLayerSize(8).config(48, 77);
+    cfg.accesses = 40..=80; // keep demands within WCETs for the simulator
+    cfg.edge_words = 0..=8;
+    let w = LayeredDag::new(cfg).generate();
+
+    let heft_mapping = heft(&w.graph, 8, 1).unwrap();
+    let annealed = anneal(
+        &w.graph,
+        8,
+        &heft_mapping,
+        &AnnealConfig {
+            iterations: 400,
+            ..AnnealConfig::default()
+        },
+    )
+    .unwrap();
+
+    let heft_asg: Vec<usize> = w
+        .graph
+        .task_ids()
+        .map(|t| heft_mapping.core_of(t).index())
+        .collect();
+    let ann_asg: Vec<usize> = w
+        .graph
+        .task_ids()
+        .map(|t| annealed.core_of(t).index())
+        .collect();
+    assert!(
+        assignment_makespan(&w.graph, &ann_asg).unwrap()
+            <= assignment_makespan(&w.graph, &heft_asg).unwrap()
+    );
+
+    for mapping in [heft_mapping, annealed] {
+        let p = Problem::new(w.graph.clone(), mapping, Platform::new(16, 16)).unwrap();
+        let s = mia::analysis::analyze(&p, &RoundRobin::new()).unwrap();
+        s.check(&p).unwrap();
+        let run = simulate(&p, &s, &SimConfig::new(AccessPattern::Uniform)).unwrap();
+        assert!(run.first_violation(&s).is_none());
+    }
 }
