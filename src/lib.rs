@@ -61,6 +61,7 @@
 //! | [`sim`] | cycle-stepped validation simulator |
 //! | [`sdf`] | synchronous-dataflow front-end (graph → task DAG) |
 //! | [`mapping_heuristics`] | mapping & ordering strategies |
+//! | [`noc`] | inter-cluster 2D-torus NoC latency bounds (MPPA-256 chip level) |
 //! | [`exec`] | time-triggered dispatch tables + C emission (deployment stage) |
 //! | [`dse`] | design-space exploration with the analysis in the loop |
 //! | [`trace`] | Gantt charts, DOT export, JSON reports |
@@ -73,6 +74,7 @@ pub use mia_dse as dse;
 pub use mia_exec as exec;
 pub use mia_mapping as mapping_heuristics;
 pub use mia_model as model;
+pub use mia_noc as noc;
 pub use mia_sdf as sdf;
 pub use mia_sim as sim;
 pub use mia_trace as trace;

@@ -122,7 +122,7 @@ fn every_proptest_suite_has_a_committed_regression_file() {
     }
 
     assert!(
-        checked >= 12,
+        checked >= 13,
         "found only {checked} property suites — did the tests move?"
     );
     assert!(
